@@ -64,16 +64,17 @@ check:
 check-short:
 	scripts/check.sh -short
 
-# The hardened simulation service (POST /run, GET /healthz /readyz
-# /stats; graceful drain on SIGTERM with a JSON shutdown report).
+# The hardened simulation service: the one-shard fleet coordinator
+# (POST /run /reload, GET /healthz /readyz /stats; graceful drain on
+# SIGTERM with a JSON shutdown report).
 serve:
 	$(GO) run ./cmd/lmi-serve -addr :8080
 
-# The chaos soak: a seeded request stream replayed through the serving
-# state machines on a virtual timeline; nonzero exit on any robustness
-# violation (also part of the check gate).
+# The chaos soak: a seeded request stream replayed through the one-shard
+# fleet on a virtual timeline; nonzero exit on any robustness violation
+# (also part of the check gate).
 soak:
-	$(GO) run ./cmd/lmi-serve -soak -v
+	$(GO) run ./cmd/lmi-serve -soak -shards 1 -seed 2 -requests 200 -v
 
 # The fleet soak: 100000 seeded requests consistent-hash-sharded across
 # 4 simulated device workers under scripted shard kills, rejoins, and

@@ -1,17 +1,18 @@
 // Command lmi-serve hosts the simulation stack as a hardened
-// long-running service, or replays the chaos soak against the same
-// serving state machines.
+// long-running service — the fleet coordinator, one shard by default —
+// or replays the fleet soak against the same serving state machines.
 //
 // Usage:
 //
-//	lmi-serve -addr :8080                 # serve HTTP (POST /run, GET /healthz /readyz /stats)
+//	lmi-serve -addr :8080                 # serve HTTP (POST /run /reload, GET /healthz /readyz /stats)
+//	lmi-serve -jobs 4                     # four execution workers per shard
 //	lmi-serve -soak                       # 200-request seeded chaos soak, virtual time
 //	lmi-serve -soak -seed 7 -requests 500 # bigger soak, chosen seed
 //	lmi-serve -soak -jobs 1               # single precompute worker (same report)
 //	lmi-serve -soak -v                    # plus the per-request log
 //	lmi-serve -tier compiled              # execute requests on the compiled tier
-//	lmi-serve -soak -shards 4             # fleet soak: sharded fleet under shard-kill chaos
-//	lmi-serve -shards 4                   # serve through the sharded fleet coordinator
+//	lmi-serve -soak -shards 4             # sharded fleet soak under shard-kill chaos
+//	lmi-serve -shards 4                   # serve through four consistent-hashed shards
 //	lmi-serve -decision-log d.jsonl       # per-request safety decision records (JSONL)
 //	lmi-serve -bundle b.json -bundle-pub <hex>  # serve signed compiled artifacts
 //	lmi-serve -specialize                 # serve contract-specialized residuals on contract match
@@ -26,14 +27,14 @@
 // $LMI_BUNDLE_PUB) is the only key accepted — there is no
 // trust-on-first-use.
 //
-// The soak report depends only on -seed and -requests (plus -shards
-// for the fleet soak): it is byte-identical for any -jobs value, and
-// it exits nonzero if any robustness property is violated (an untyped
-// per-request error, a missing result, an escaped engine panic, an
-// inconsistent breaker log, a silently dropped request after shard
-// death, a missing decision record). The live server drains gracefully
-// on SIGTERM/SIGINT: it stops accepting, finishes everything in
-// flight, and flushes a JSON shutdown report to stdout.
+// The soak report and decision log depend only on -seed, -requests,
+// and -shards: they are byte-identical for any -jobs value, and the
+// soak exits nonzero if any robustness property is violated (an
+// untyped per-request error, a missing result, an escaped engine
+// panic, an inconsistent breaker log, a silently dropped request after
+// shard death, a missing decision record). The live server drains
+// gracefully on SIGTERM/SIGINT: it stops accepting, finishes
+// everything in flight, and flushes a JSON shutdown report to stdout.
 package main
 
 import (
@@ -54,7 +55,6 @@ import (
 	"lmi/internal/cliutil"
 	"lmi/internal/fastsim"
 	"lmi/internal/fleet"
-	"lmi/internal/serve"
 )
 
 func main() {
@@ -62,10 +62,10 @@ func main() {
 	soak := flag.Bool("soak", false, "run the chaos soak instead of serving")
 	seed := flag.Uint64("seed", 1, "soak master seed")
 	requests := flag.Int("requests", 200, "soak request count")
-	jobs := flag.Int("jobs", 0, "worker pool size, >= 1 (omit for GOMAXPROCS or $LMI_JOBS)")
+	jobs := flag.Int("jobs", 0, "workers per shard (soak: precompute workers), >= 1 (omit for GOMAXPROCS or $LMI_JOBS)")
 	queue := flag.Int("queue", 64, "admission queue capacity")
 	sms := flag.Int("sms", 1, "simulated SM count per request")
-	shards := flag.Int("shards", 1, "simulated device shards; > 1 selects the fleet coordinator / fleet soak")
+	shards := flag.Int("shards", 1, "simulated device shards behind the fleet coordinator / in the fleet soak")
 	decisionLog := flag.String("decision-log", "", "write per-request safety decision records (JSONL) to this file")
 	logBuffer := flag.Int("log-buffer", 256, "decision-log sink buffer; overflow drops records, never blocks")
 	tierName := flag.String("tier", fastsim.TierCycle.String(),
@@ -108,15 +108,9 @@ func main() {
 	}
 
 	if *soak {
-		if *shards > 1 {
-			os.Exit(runFleetSoak(*seed, *requests, *shards, *jobs, *sms, tier, *decisionLog, *verbose))
-		}
-		os.Exit(runSoak(*seed, *requests, *jobs, *sms, tier, *verbose))
+		os.Exit(runFleetSoak(*seed, *requests, *shards, *jobs, *sms, tier, *decisionLog, *verbose))
 	}
-	if *shards > 1 {
-		os.Exit(runFleetServe(*addr, *shards, *queue, *sms, tier, *specialize, *decisionLog, *logBuffer, *bundlePath, pub, *verbose))
-	}
-	os.Exit(runServe(*addr, *jobs, *queue, *sms, tier, *specialize, *bundlePath, pub, *verbose))
+	os.Exit(runFleetServe(*addr, *shards, *jobs, *queue, *sms, tier, *specialize, *decisionLog, *logBuffer, *bundlePath, pub, *verbose))
 }
 
 // loadBundle re-reads the -bundle file and installs it through reload,
@@ -182,11 +176,11 @@ func runFleetSoak(seed uint64, requests, shards, jobs, sms int, tier fastsim.Tie
 	return 0
 }
 
-// runFleetServe hosts the sharded fleet coordinator over HTTP until
-// SIGTERM/SIGINT, then drains and flushes the shutdown report. With a
-// bundle, startup verification is fail-closed and SIGHUP hot-reloads
-// the bundle file across every shard.
-func runFleetServe(addr string, shards, queue, sms int, tier fastsim.Tier, specialize bool, logPath string, logBuffer int, bundlePath string, pub ed25519.PublicKey, verbose bool) int {
+// runFleetServe hosts the fleet coordinator (one shard by default)
+// over HTTP until SIGTERM/SIGINT, then drains and flushes the shutdown
+// report. With a bundle, startup verification is fail-closed and
+// SIGHUP hot-reloads the bundle file across every shard.
+func runFleetServe(addr string, shards, jobs, queue, sms int, tier fastsim.Tier, specialize bool, logPath string, logBuffer int, bundlePath string, pub ed25519.PublicKey, verbose bool) int {
 	logf := func(string, ...any) {}
 	if verbose {
 		logf = func(format string, args ...any) {
@@ -199,15 +193,16 @@ func runFleetServe(addr string, shards, queue, sms int, tier fastsim.Tier, speci
 		return 1
 	}
 	c, err := fleet.NewCoordinator(fleet.Config{
-		Shards:        shards,
-		QueueCapacity: queue,
-		SMs:           sms,
-		Tier:          tier,
-		Specialize:    specialize,
-		DecisionLog:   logW,
-		LogBuffer:     logBuffer,
-		BundlePub:     pub,
-		Logf:          logf,
+		Shards:          shards,
+		WorkersPerShard: jobs,
+		QueueCapacity:   queue,
+		SMs:             sms,
+		Tier:            tier,
+		Specialize:      specialize,
+		DecisionLog:     logW,
+		LogBuffer:       logBuffer,
+		BundlePub:       pub,
+		Logf:            logf,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lmi-serve: %v\n", err)
@@ -223,7 +218,7 @@ func runFleetServe(addr string, shards, queue, sms int, tier fastsim.Tier, speci
 	hs := &http.Server{Addr: addr, Handler: c.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "lmi-serve: fleet of %d shards listening on %s\n", shards, addr)
+	fmt.Fprintf(os.Stderr, "lmi-serve: %d shard(s) listening on %s\n", shards, addr)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
@@ -249,6 +244,8 @@ drain:
 		}
 	}
 
+	// Stop the listener first (no new connections), then drain the
+	// shard queues and worker pools, then report.
 	shctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_ = hs.Shutdown(shctx)
@@ -256,103 +253,6 @@ drain:
 	if cerr := logClose(); cerr != nil {
 		fmt.Fprintf(os.Stderr, "lmi-serve: decision log: %v\n", cerr)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintf(os.Stderr, "lmi-serve: rendering shutdown report: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
-// runSoak replays the seeded chaos stream and renders the
-// deterministic report; nonzero when the robustness contract is
-// violated.
-func runSoak(seed uint64, requests, jobs, sms int, tier fastsim.Tier, verbose bool) int {
-	rep, err := serve.Soak(context.Background(), serve.SoakConfig{
-		Seed:     seed,
-		Requests: requests,
-		Workers:  jobs,
-		SMs:      sms,
-		Tier:     tier,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lmi-serve: soak: %v\n", err)
-		return 1
-	}
-	rep.Render(os.Stdout, verbose)
-	if v := rep.Violations(); len(v) > 0 {
-		fmt.Fprintf(os.Stderr, "lmi-serve: soak violated %d robustness properties\n", len(v))
-		return 1
-	}
-	return 0
-}
-
-// runServe hosts the HTTP service until SIGTERM/SIGINT, then drains and
-// flushes the shutdown report. With a bundle, startup verification is
-// fail-closed and SIGHUP hot-reloads the bundle file.
-func runServe(addr string, jobs, queue, sms int, tier fastsim.Tier, specialize bool, bundlePath string, pub ed25519.PublicKey, verbose bool) int {
-	logf := func(string, ...any) {}
-	if verbose {
-		logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	s, err := serve.NewServer(serve.Config{
-		Workers:       jobs,
-		QueueCapacity: queue,
-		SMs:           sms,
-		Tier:          tier,
-		Specialize:    specialize,
-		BundlePub:     pub,
-		Logf:          logf,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lmi-serve: %v\n", err)
-		return 1
-	}
-	if bundlePath != "" {
-		if err := loadBundle(bundlePath, s.Reload); err != nil {
-			fmt.Fprintf(os.Stderr, "lmi-serve: bundle rejected: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "lmi-serve: serving bundle %s\n", s.BundleDigest())
-	}
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "lmi-serve: listening on %s\n", addr)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	hup := make(chan os.Signal, 1)
-	if bundlePath != "" {
-		signal.Notify(hup, syscall.SIGHUP)
-	}
-drain:
-	for {
-		select {
-		case sig := <-sigc:
-			fmt.Fprintf(os.Stderr, "lmi-serve: %v: draining\n", sig)
-			break drain
-		case <-hup:
-			if err := loadBundle(bundlePath, s.Reload); err != nil {
-				fmt.Fprintf(os.Stderr, "lmi-serve: reload rejected (still serving %s): %v\n", s.BundleDigest(), err)
-			} else {
-				fmt.Fprintf(os.Stderr, "lmi-serve: reloaded bundle %s\n", s.BundleDigest())
-			}
-		case err := <-errc:
-			fmt.Fprintf(os.Stderr, "lmi-serve: listener failed: %v\n", err)
-			return 1
-		}
-	}
-
-	// Stop the listener first (no new connections), then drain the
-	// admission queue and worker pool, then report.
-	shctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_ = hs.Shutdown(shctx)
-	rep := s.Shutdown(shctx)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {

@@ -31,11 +31,11 @@ type fwarp struct {
 	// registers per lane (lane l's register r lives at l*nregs+r).
 	// Closures hoist rf into a local before their lane sweep, so the
 	// per-lane cost is pure indexing — no slice-header loads.
-	rf    []uint64
-	nregs int
-	preds [8]uint32 // predicate files as lane bitmasks; preds[PT] = launchMask
-	locals     []*mem.AddrSpace
-	shared     *mem.AddrSpace // the block's shared memory
+	rf     []uint64
+	nregs  int
+	preds  [8]uint32 // predicate files as lane bitmasks; preds[PT] = launchMask
+	locals []*mem.AddrSpace
+	shared *mem.AddrSpace // the block's shared memory
 
 	stack      []simtEntry
 	pendingSSY int32
@@ -177,23 +177,23 @@ func (c *Compiled) Launch2DCtx(ctx context.Context, dev *sim.Device, gridX, grid
 	}
 
 	e := &engine{
-		ctx:      ctx,
-		ctxArmed: ctx != nil && ctx.Done() != nil,
-		dev:      dev,
-		c:        c,
-		cfg:      &dev.Cfg,
-		mech:     dev.Mech,
-		global:   dev.Global,
-		heap:     dev.Heap(),
-		cbank:    cbank,
-		tracer:   dev.Tracer,
-		grid:     gridDim,
-		bdim:     blockDim,
-		gridX:    gridX,
-		bdimX:    blockX,
-		noProg:   dev.Cfg.Watchdog.NoProgressCycles,
+		ctx:       ctx,
+		ctxArmed:  ctx != nil && ctx.Done() != nil,
+		dev:       dev,
+		c:         c,
+		cfg:       &dev.Cfg,
+		mech:      dev.Mech,
+		global:    dev.Global,
+		heap:      dev.Heap(),
+		cbank:     cbank,
+		tracer:    dev.Tracer,
+		grid:      gridDim,
+		bdim:      blockDim,
+		gridX:     gridX,
+		bdimX:     blockX,
+		noProg:    dev.Cfg.Watchdog.NoProgressCycles,
 		maxInstrs: dev.Cfg.MaxCycles,
-		smTime:   make([]uint64, dev.Cfg.NumSMs),
+		smTime:    make([]uint64, dev.Cfg.NumSMs),
 	}
 	e.stats.MemInstrs = make(map[isa.Opcode]uint64)
 	if dev.Cfg.RaceOracle {

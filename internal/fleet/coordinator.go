@@ -19,20 +19,22 @@ import (
 
 // Config parameterises the live fleet coordinator.
 type Config struct {
-	// Shards is the number of simulated device workers (default 2 —
-	// the coordinator exists to shard; a single-shard deployment
-	// should use serve.Server directly).
+	// Shards is the number of simulated device workers (default 1: a
+	// single-shard fleet is the plain server).
 	Shards int
 	// Replicas is the ring's virtual nodes per shard (default 16).
 	Replicas int
-	// WorkersPerShard sizes each shard's execution pool (default 2).
+	// WorkersPerShard sizes each shard's execution pool (default
+	// runner.DefaultWorkers(): LMI_JOBS, else GOMAXPROCS).
 	WorkersPerShard int
 	// QueueCapacity bounds each shard's admission queue; a full queue
 	// sheds with serve.ErrOverloaded (default 16).
 	QueueCapacity int
 	// FleetBudget bounds the total queued across shards; admission
 	// beyond it sheds with ErrFleetOverloaded (default 3/4 of the
-	// summed shard capacity).
+	// summed shard capacity, at least 1). /readyz reports 503 above
+	// half of it, so load balancers route elsewhere before the fleet
+	// sheds.
 	FleetBudget int
 	// MaxRequeues bounds shard-death redistribution per request before
 	// it is abandoned with ErrShardLost (default 3).
@@ -64,19 +66,19 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
-		c.Shards = 2
+		c.Shards = 1
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 16
 	}
 	if c.WorkersPerShard <= 0 {
-		c.WorkersPerShard = 2
+		c.WorkersPerShard = runner.DefaultWorkers()
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 16
 	}
 	if c.FleetBudget <= 0 {
-		c.FleetBudget = c.Shards * c.QueueCapacity * 3 / 4
+		c.FleetBudget = max(1, c.Shards*c.QueueCapacity*3/4)
 	}
 	if c.MaxRequeues <= 0 {
 		c.MaxRequeues = 3
@@ -133,7 +135,9 @@ type liveShard struct {
 	stats  ShardSummary
 }
 
-// Stats is the fleet's counter snapshot.
+// Stats is the fleet's counter snapshot (all values monotonic except
+// Depth). A request counts as Accepted once, when a shard queue first
+// takes it; requeues after shard death do not count again.
 type Stats struct {
 	Accepted  uint64 `json:"accepted"`
 	Shed      uint64 `json:"shed"`
@@ -145,6 +149,8 @@ type Stats struct {
 	Retries   uint64 `json:"retries"`
 	Requeues  uint64 `json:"requeues"`
 	Depth     int    `json:"queue_depth"`
+	// HighWater is the maximum total queued across shards.
+	HighWater int `json:"queue_high_water"`
 }
 
 // Coordinator is the live sharded serving driver.
@@ -464,7 +470,6 @@ func (c *Coordinator) Submit(ctx context.Context, req serve.Request) (serve.Resu
 		c.mu.Unlock()
 		return serve.Result{}, serve.ErrDraining
 	}
-	c.stats.Accepted++
 	c.mu.Unlock()
 
 	h := RequestHash(req)
@@ -490,6 +495,13 @@ func (c *Coordinator) Submit(ctx context.Context, req serve.Request) (serve.Resu
 		case err != nil:
 			return fail(serve.StatusShed, err)
 		}
+		depth := c.depth()
+		c.mu.Lock()
+		if requeues == 0 {
+			c.stats.Accepted++
+		}
+		c.stats.HighWater = max(c.stats.HighWater, depth)
+		c.mu.Unlock()
 		var lr liveResult
 		select {
 		case lr = <-t.done:
@@ -521,12 +533,12 @@ func (c *Coordinator) Submit(ctx context.Context, req serve.Request) (serve.Resu
 
 // ShutdownReport is the JSON document flushed on graceful drain.
 type ShutdownReport struct {
-	Uptime      time.Duration             `json:"uptime_ns"`
-	Stats       Stats                     `json:"stats"`
-	Shards      []ShardSummary            `json:"shards"`
+	Uptime      time.Duration                   `json:"uptime_ns"`
+	Stats       Stats                           `json:"stats"`
+	Shards      []ShardSummary                  `json:"shards"`
 	Breakers    []map[string]serve.BreakerState `json:"breakers"`
-	Transitions []ShardTransition         `json:"breaker_transitions"`
-	Decisions   SinkStats                 `json:"decisions"`
+	Transitions []ShardTransition               `json:"breaker_transitions"`
+	Decisions   SinkStats                       `json:"decisions"`
 }
 
 // Shutdown drains gracefully: stop accepting, let every alive shard
@@ -612,9 +624,8 @@ func (c *Coordinator) Draining() bool {
 	return c.draining
 }
 
-// Handler returns the HTTP surface: POST /run, GET /healthz, /readyz,
-// /stats — the same shape as the single-shard server, plus per-shard
-// detail under /stats.
+// Handler returns the HTTP surface: POST /run and /reload, GET
+// /healthz, /readyz, /stats (fleet counters plus per-shard detail).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", c.handleRun)
@@ -634,8 +645,8 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 		case alive == 0:
 			http.Error(w, "no shard alive", http.StatusServiceUnavailable)
-		case c.depth() >= c.cfg.FleetBudget:
-			http.Error(w, fmt.Sprintf("fleet depth %d at budget %d", c.depth(), c.cfg.FleetBudget),
+		case c.depth() > c.cfg.FleetBudget/2:
+			http.Error(w, fmt.Sprintf("fleet depth %d above half the budget %d", c.depth(), c.cfg.FleetBudget),
 				http.StatusServiceUnavailable)
 		default:
 			w.WriteHeader(http.StatusOK)
@@ -706,8 +717,9 @@ func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 	}{"ok", c.BundleDigest()})
 }
 
-// handleRun is POST /run with the same status mapping as the
-// single-shard server, plus 503 for lost requests.
+// handleRun is POST /run: decode, submit, map the disposition onto an
+// HTTP status (200 executed-ok, 400 bad request, 429 shed, 503
+// circuit-open, draining, or lost, 502 failed/exhausted).
 func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)

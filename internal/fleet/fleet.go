@@ -12,11 +12,12 @@
 // execution tier — into a bounded asynchronous log sink that never
 // blocks the serving path and accounts for every record it drops.
 //
-// Like the serve layer, the same state machines run in two drivers:
-// the live Coordinator behind cmd/lmi-serve with real clocks and real
-// goroutines, and a virtual-time fleet soak (FleetSoak) that replays a
-// seeded ~10^5-request stream with scripted shard kills, rejoins, and
-// burst overloads, producing a report and decision log that are
+// The serve layer's shard components run in two drivers: the live
+// Coordinator behind cmd/lmi-serve with real clocks and real
+// goroutines (one shard by default — the single-shard fleet is the
+// plain server), and a virtual-time fleet soak (FleetSoak) that replays
+// a seeded stream with scripted shard kills, rejoins, and burst
+// overloads, producing a report and decision log that are
 // byte-identical for any -jobs value.
 package fleet
 

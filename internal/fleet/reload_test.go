@@ -164,128 +164,188 @@ func TestRejoinCannotResurrectOldBundle(t *testing.T) {
 	}
 }
 
-// TestCoordinatorReloadRejectionKeepsServing: a tampered reload is
-// refused with the typed reason and every shard keeps the prior table.
+// TestCoordinatorReloadRejectionKeepsServing: a refused reload is the
+// typed rejection and every shard keeps the prior table — the genuine
+// bundle before a tampered one, or none at all when no key is trusted
+// (there is no trust-on-first-use).
 func TestCoordinatorReloadRejectionKeepsServing(t *testing.T) {
 	v1, v2 := fleetBundles(t)
-	c, err := NewCoordinator(bundleConfig())
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer c.Shutdown(context.Background())
-	if err := c.Reload(v1); err != nil {
-		t.Fatalf("reload v1: %v", err)
-	}
 	wrongKey := ed25519.NewKeyFromSeed(bytes.Repeat([]byte{0x77}, ed25519.SeedSize))
 	tampered, err := bundle.Tamper(bundle.TamperWrongKey, v2, v1, fleetTestKey, wrongKey)
 	if err != nil {
 		t.Fatalf("tamper: %v", err)
 	}
-	if err := c.Reload(tampered); bundle.RejectionReason(err) != bundle.ReasonWrongKey {
-		t.Fatalf("tampered reload: %v, want wrong-key rejection", err)
-	}
-	for i, sh := range c.shards {
-		if got := sh.exec.BundleDigest(); got != v1.Digest {
-			t.Fatalf("shard %d serves %q after rejected reload, want %s", i, got, v1.Digest)
-		}
-	}
-	if n, last := c.ReloadStats(); n != 2 || !strings.Contains(last, string(bundle.ReasonWrongKey)) {
-		t.Fatalf("reload stats = %d %q", n, last)
+	untrusted := bundleConfig()
+	untrusted.Shards, untrusted.BundlePub = 1, nil
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		reloads []*bundle.Bundle // all but the last must install
+		serving string           // every shard's digest afterwards
+	}{
+		{"tampered after genuine", bundleConfig(), []*bundle.Bundle{v1, tampered}, v1.Digest},
+		{"no trusted key", untrusted, []*bundle.Bundle{v1}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCoordinator(tc.cfg)
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			defer c.Shutdown(context.Background())
+			last := len(tc.reloads) - 1
+			for i, b := range tc.reloads[:last] {
+				if err := c.Reload(b); err != nil {
+					t.Fatalf("reload %d: %v", i, err)
+				}
+			}
+			if err := c.Reload(tc.reloads[last]); bundle.RejectionReason(err) != bundle.ReasonWrongKey {
+				t.Fatalf("last reload: %v, want wrong-key rejection", err)
+			}
+			for i, sh := range c.shards {
+				if got := sh.exec.BundleDigest(); got != tc.serving {
+					t.Fatalf("shard %d serves %q after rejected reload, want %q", i, got, tc.serving)
+				}
+			}
+			if got := c.BundleDigest(); got != tc.serving {
+				t.Fatalf("fleet serves %q after rejected reload, want %q", got, tc.serving)
+			}
+			if n, status := c.ReloadStats(); n != uint64(len(tc.reloads)) || !strings.Contains(status, string(bundle.ReasonWrongKey)) {
+				t.Fatalf("reload stats = %d %q", n, status)
+			}
+		})
 	}
 }
 
-// TestCoordinatorReloadHTTP: the fleet's /reload and /stats surface —
-// absent bundle fields before any attempt, a verified swap over POST,
-// and a 422 with the typed reason for a tampered bundle.
+// TestCoordinatorReloadHTTP: the /reload, /stats, and /run bundle
+// lifecycle per fleet shape. Before any attempt /stats omits every
+// bundle field and results carry no digest; a verified POST /reload
+// swaps the table and stamps bundle-served results with its digest
+// (an unbundled workload still serves, without one); a tampered bundle
+// answers 422 with the typed reason, is counted, and leaves the prior
+// digest serving.
 func TestCoordinatorReloadHTTP(t *testing.T) {
 	v1, _ := fleetBundles(t)
-	c, err := NewCoordinator(bundleConfig())
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	defer c.Shutdown(context.Background())
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
+	one := bundleConfig()
+	one.Shards = 1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"2 shards", bundleConfig()},
+		{"1 shard", one},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCoordinator(tc.cfg)
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			defer c.Shutdown(context.Background())
+			srv := httptest.NewServer(c.Handler())
+			defer srv.Close()
 
-	stats := func() map[string]json.RawMessage {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var m map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatalf("decoding /stats: %v", err)
-		}
-		return m
-	}
+			stats := func() map[string]json.RawMessage {
+				t.Helper()
+				resp, err := http.Get(srv.URL + "/stats")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var m map[string]json.RawMessage
+				if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+					t.Fatalf("decoding /stats: %v", err)
+				}
+				return m
+			}
+			run := func(body, wantBundle string) {
+				t.Helper()
+				if code, rj := postRun(t, srv.URL, body); code != http.StatusOK || rj.Bundle != wantBundle {
+					t.Fatalf("POST /run %s = %d bundle %q, want 200 bundle %q", body, code, rj.Bundle, wantBundle)
+				}
+			}
+			const nn, needle = `{"workload":"nn","mechanism":"lmi","seed":1}`, `{"workload":"needle","mechanism":"lmi","seed":1}`
 
-	st := stats()
-	for _, k := range []string{"bundle_digest", "reload_count", "last_reload_status"} {
-		if _, ok := st[k]; ok {
-			t.Fatalf("/stats exposes %s before any reload", k)
-		}
-	}
+			st := stats()
+			for _, k := range []string{"bundle_digest", "reload_count", "last_reload_status"} {
+				if _, ok := st[k]; ok {
+					t.Fatalf("/stats exposes %s before any reload", k)
+				}
+			}
+			run(nn, "")
 
-	var buf bytes.Buffer
-	if err := v1.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/reload", "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ok struct {
-		Status  string `json:"status"`
-		Serving string `json:"serving_bundle_digest"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ok); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || ok.Status != "ok" || ok.Serving != v1.Digest {
-		t.Fatalf("POST /reload = %d %+v, want ok serving %s", resp.StatusCode, ok, v1.Digest)
-	}
-	st = stats()
-	if got := string(st["bundle_digest"]); got != `"`+v1.Digest+`"` {
-		t.Fatalf("/stats bundle_digest = %s, want %q", got, v1.Digest)
-	}
-	if got := string(st["reload_count"]); got != "1" {
-		t.Fatalf("/stats reload_count = %s, want 1", got)
-	}
+			var buf bytes.Buffer
+			if err := v1.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(srv.URL+"/reload", "application/json", &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ok struct {
+				Status  string `json:"status"`
+				Serving string `json:"serving_bundle_digest"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&ok); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || ok.Status != "ok" || ok.Serving != v1.Digest {
+				t.Fatalf("POST /reload = %d %+v, want ok serving %s", resp.StatusCode, ok, v1.Digest)
+			}
+			run(nn, v1.Digest)
+			run(needle, "")
+			st = stats()
+			if got := string(st["bundle_digest"]); got != `"`+v1.Digest+`"` {
+				t.Fatalf("/stats bundle_digest = %s, want %q", got, v1.Digest)
+			}
+			if got := string(st["reload_count"]); got != "1" {
+				t.Fatalf("/stats reload_count = %s, want 1", got)
+			}
+			if got := string(st["last_reload_status"]); got != `"ok"` {
+				t.Fatalf("/stats last_reload_status = %s, want ok", got)
+			}
 
-	// Tampered over the wire: flip a code byte without resealing.
-	tb := v1.Clone()
-	w := []byte(tb.Entries[0].Code[0])
-	if w[0] == '0' {
-		w[0] = '1'
-	} else {
-		w[0] = '0'
-	}
-	tb.Entries[0].Code[0] = string(w)
-	buf.Reset()
-	if err := tb.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(srv.URL+"/reload", "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rej struct {
-		Status  string `json:"status"`
-		Reason  string `json:"reason"`
-		Serving string `json:"serving_bundle_digest"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity ||
-		rej.Status != "rejected" || rej.Reason != string(bundle.ReasonDigestMismatch) {
-		t.Fatalf("tampered POST /reload = %d %+v", resp.StatusCode, rej)
-	}
-	if rej.Serving != v1.Digest || c.BundleDigest() != v1.Digest {
-		t.Fatalf("rejection moved the serving digest: %q, want %s", rej.Serving, v1.Digest)
+			// Tampered over the wire: flip a code byte without resealing.
+			tb := v1.Clone()
+			w := []byte(tb.Entries[0].Code[0])
+			if w[0] == '0' {
+				w[0] = '1'
+			} else {
+				w[0] = '0'
+			}
+			tb.Entries[0].Code[0] = string(w)
+			buf.Reset()
+			if err := tb.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			resp, err = http.Post(srv.URL+"/reload", "application/json", &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rej struct {
+				Status  string `json:"status"`
+				Reason  string `json:"reason"`
+				Error   string `json:"error"`
+				Serving string `json:"serving_bundle_digest"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity || rej.Status != "rejected" ||
+				rej.Reason != string(bundle.ReasonDigestMismatch) || !strings.Contains(rej.Error, "bundle rejected") {
+				t.Fatalf("tampered POST /reload = %d %+v", resp.StatusCode, rej)
+			}
+			if rej.Serving != v1.Digest || c.BundleDigest() != v1.Digest {
+				t.Fatalf("rejection moved the serving digest: %q, want %s", rej.Serving, v1.Digest)
+			}
+			st = stats()
+			if got := string(st["reload_count"]); got != "2" {
+				t.Fatalf("/stats reload_count = %s, want 2", got)
+			}
+			if !strings.Contains(string(st["last_reload_status"]), string(bundle.ReasonDigestMismatch)) {
+				t.Fatalf("/stats last_reload_status lost the rejection: %s", st["last_reload_status"])
+			}
+			run(nn, v1.Digest)
+		})
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // Violations audits the report against the fleet's robustness
 // contract and returns one message per breach (empty = clean run).
-// The contract extends the single-server soak's: every request in the
-// stream reaches exactly one final result; a request displaced by
+// The contract: every request in the stream reaches exactly one final
+// result; a request displaced by
 // shard death is either re-executed on a survivor or abandoned with
 // the typed ErrShardLost — never silently dropped; every shed carries
 // ErrOverloaded or ErrFleetOverloaded; every failure is typed and its

@@ -118,3 +118,47 @@ func TestFleetSoakDecisionAccounting(t *testing.T) {
 		t.Fatalf("decision log has %d lines, want %d", lines, rep.Config.Requests)
 	}
 }
+
+// TestFleetSoakSingleShardContract: the pinned single-shard soak (the
+// stream scripts/check.sh replays through lmi-serve -soak -shards 1)
+// meets the robustness contract and is not vacuous — every serving
+// path fires: success, load shedding, breaker rejection, terminal
+// failure, retry exhaustion, scheduled retries, and a breaker cell
+// that opens under a failure burst and recovers through a half-open
+// probe. The seed is re-pinned whenever the chaos kind set grows (the
+// stream generator draws kinds by index) to one where all of them
+// still fire.
+func TestFleetSoakSingleShardContract(t *testing.T) {
+	rep, _, _ := runSoak(t, SoakConfig{Seed: 2, Requests: 200, Shards: 1})
+	if v := rep.Violations(); len(v) != 0 {
+		t.Fatalf("robustness violations:\n%s", v)
+	}
+	if got := len(rep.Results); got != 200 {
+		t.Fatalf("results = %d, want 200", got)
+	}
+	for st, why := range map[serve.Status]string{
+		serve.StatusOK:        "some requests must succeed",
+		serve.StatusShed:      "the bounded queue must shed under the bursts",
+		serve.StatusRejected:  "an open breaker must reject requests",
+		serve.StatusFailed:    "missed injections must fail terminally",
+		serve.StatusExhausted: "some retryable failures must exhaust their attempts",
+	} {
+		if rep.Counts[st] == 0 {
+			t.Errorf("no %s requests in the pinned soak: %s", st, why)
+		}
+	}
+	if rep.Retries == 0 {
+		t.Errorf("no retries were scheduled; deadlines are not exercising the retry path")
+	}
+	var opened, reclosed bool
+	for _, tr := range rep.Transitions {
+		opened = opened || tr.From == serve.BreakerClosed && tr.To == serve.BreakerOpen
+		reclosed = reclosed || tr.From == serve.BreakerHalfOpen && tr.To == serve.BreakerClosed
+	}
+	if !opened {
+		t.Errorf("no breaker cell opened; failure bursts are not tripping the breaker")
+	}
+	if !reclosed {
+		t.Errorf("no breaker cell recovered closed; the half-open probe path never completed")
+	}
+}

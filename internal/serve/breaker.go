@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -36,12 +35,8 @@ type BreakerConfig struct {
 	ProbeSuccesses int
 }
 
-// WithDefaults fills zero fields (for callers outside the package —
-// the fleet layer — that embed the policy in their own configs).
-func (bc BreakerConfig) WithDefaults() BreakerConfig { return bc.withDefaults() }
-
-// withDefaults fills zero fields.
-func (bc BreakerConfig) withDefaults() BreakerConfig {
+// WithDefaults fills zero fields.
+func (bc BreakerConfig) WithDefaults() BreakerConfig {
 	if bc.FailThreshold <= 0 {
 		bc.FailThreshold = 5
 	}
@@ -92,7 +87,7 @@ type Breaker struct {
 
 // NewBreaker builds a breaker; zero config fields take defaults.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), cells: make(map[string]*breakerCell)}
+	return &Breaker{cfg: cfg.WithDefaults(), cells: make(map[string]*breakerCell)}
 }
 
 // cell returns the key's cell, creating it closed.
@@ -234,14 +229,4 @@ func (b *Breaker) Snapshot() map[string]BreakerState {
 		out[k] = c.state
 	}
 	return out
-}
-
-// SortedKeys returns the snapshot keys in deterministic order.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

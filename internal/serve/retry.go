@@ -18,12 +18,8 @@ type RetryConfig struct {
 	BackoffMax time.Duration
 }
 
-// WithDefaults fills zero fields (for callers outside the package —
-// the fleet layer — that embed the policy in their own configs).
-func (rc RetryConfig) WithDefaults() RetryConfig { return rc.withDefaults() }
-
-// withDefaults fills zero fields.
-func (rc RetryConfig) withDefaults() RetryConfig {
+// WithDefaults fills zero fields.
+func (rc RetryConfig) WithDefaults() RetryConfig {
 	if rc.MaxAttempts <= 0 {
 		rc.MaxAttempts = 3
 	}
@@ -44,7 +40,7 @@ func (rc RetryConfig) withDefaults() RetryConfig {
 // host. That determinism is what lets the soak harness replay retries
 // on a virtual timeline and still render byte-identical reports.
 func (rc RetryConfig) Delay(seed uint64, attempt int) time.Duration {
-	rc = rc.withDefaults()
+	rc = rc.WithDefaults()
 	if attempt < 0 {
 		attempt = 0
 	}

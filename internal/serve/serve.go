@@ -1,22 +1,23 @@
-// Package serve is the long-running serving layer over the simulation
-// stack: it accepts kernel-execution requests (workload, mechanism,
-// optional chaos injection, seed) and executes them on the existing
-// runner/sim machinery with production-grade robustness — a bounded
-// admission queue with load shedding, per-request context deadlines
-// threaded into the simulator's watchdog, an error classifier that
-// separates retryable from terminal failures, deterministic
-// exponential backoff with seeded jitter, a per-(workload, mechanism)
-// circuit breaker, and graceful drain.
+// Package serve holds the shard components of the serving layer over
+// the simulation stack. A request names a kernel execution (workload,
+// mechanism, optional chaos injection, seed); the Executor runs it on
+// the existing runner/sim machinery, and the Processor wraps it in
+// production-grade robustness — per-request context deadlines threaded
+// into the simulator's watchdog, an error classifier that separates
+// retryable from terminal failures, deterministic exponential backoff
+// with seeded jitter, and a per-(workload, mechanism) circuit breaker.
 //
-// The same state machines run in two drivers. cmd/lmi-serve hosts them
-// behind HTTP/JSON with the real clock and real concurrency. The soak
-// harness (Soak) replays a seeded request stream through them on a
-// virtual timeline: request outcomes are precomputed in parallel on the
-// worker pool (each is a pure function of its seed, the bar the chaos
-// campaign already enforces) and the serving dynamics — queueing,
-// shedding, retries, breaker transitions — are then simulated
-// single-threaded in virtual time, so the soak report is byte-identical
-// for any -jobs value.
+// The components run in two drivers, both in internal/fleet. The live
+// fleet.Coordinator (one shard by default) hosts them behind HTTP/JSON
+// in cmd/lmi-serve with the real clock, real concurrency, a bounded
+// admission queue with load shedding, and graceful drain. The fleet
+// soak replays a seeded request stream through them on a virtual
+// timeline: request outcomes are precomputed in parallel on the worker
+// pool (PrecomputeAttempts; each is a pure function of its seed, the
+// bar the chaos campaign already enforces) and the serving dynamics —
+// queueing, shedding, retries, breaker transitions — are then
+// simulated single-threaded in virtual time, so the soak report is
+// byte-identical for any -jobs value.
 package serve
 
 import (
@@ -222,8 +223,26 @@ func simTyped(err error) bool {
 		errors.As(err, &spe) || errors.As(err, &rpe)
 }
 
-// panicError reports whether err carries a recovered engine panic.
-func panicError(err error) bool {
+// TypedError reports whether err is one of the serving layer's typed
+// failures (a package sentinel, a typed simulator/runner error, or a
+// context error). The fleet layer extends it with its own sentinels in
+// its robustness audit.
+func TypedError(err error) bool {
+	for _, s := range []error{
+		ErrOverloaded, ErrCircuitOpen, ErrDraining, ErrSilentCorruption,
+		ErrFalsePositive, ErrSafetyViolation, ErrBadRequest, ErrEngineDegraded,
+		context.DeadlineExceeded, context.Canceled,
+	} {
+		if errors.Is(err, s) {
+			return true
+		}
+	}
+	return simTyped(err)
+}
+
+// IsPanicError reports whether err carries a recovered engine panic —
+// the one failure family that must never reach a request result.
+func IsPanicError(err error) bool {
 	var spe *sim.PanicError
 	var rpe *runner.PanicError
 	return errors.As(err, &spe) || errors.As(err, &rpe)

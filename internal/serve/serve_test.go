@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -259,19 +260,27 @@ func TestBreakerConcurrentProbeSerialized(t *testing.T) {
 				if !ok {
 					continue
 				}
+				// The count covers a sub-interval of the probe's
+				// [Allow, Record] span — raised after Allow, dropped
+				// before Record — so with a correct breaker it can never
+				// exceed one, while any two overlapping probes whose
+				// counted spans overlap are caught. Dropping it after
+				// Record instead would race the next probe's admission
+				// and report an overlap that never happened.
 				mu.Lock()
 				outstanding++
 				admitted++
-				if outstanding > 1 {
-					mu.Unlock()
-					t.Errorf("%d probes outstanding concurrently", outstanding)
+				n := outstanding
+				mu.Unlock()
+				if n > 1 {
+					t.Errorf("%d probes outstanding concurrently", n)
 					return
 				}
-				mu.Unlock()
-				b.Record(key, now, tok, true)
+				runtime.Gosched() // the probe executes
 				mu.Lock()
 				outstanding--
 				mu.Unlock()
+				b.Record(key, now, tok, true)
 			}
 		}()
 	}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh — the repository's verification gate: vet, build, the full
+# check.sh — the repository's verification gate: vet, gofmt, build, the full
 # test suite, and the race detector over everything (the runner's
 # parallel sweeps make -race a load-bearing check, not a formality).
 #
@@ -17,6 +17,15 @@ fi
 
 echo "== go vet ./..."
 go vet ./...
+
+# Formatting gate: every Go file in the tree is gofmt-clean.
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "check: FAIL: not gofmt-clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 # Custom vet pass: no raw panic( or os.Exit( in non-test code under
 # internal/ — runtime layers recover panics only at hardened pool
@@ -128,15 +137,24 @@ go run ./cmd/lmi-bench -all -tier compiled -jobs 4 > "$tmpdir/bench-compiled-j4.
 cmp "$tmpdir/bench-compiled-j1.txt" "$tmpdir/bench-compiled-j4.txt"
 
 # Serving soak smoke: 200 seeded chaos requests replayed through the
-# serving state machines (admission queue, classified retries, circuit
-# breaker) on the virtual timeline. The soak itself exits nonzero on
-# any robustness violation (untyped per-request error, missing result,
-# escaped panic), and the verbose report — every count, timestamp, and
-# per-request line — must be byte-identical across worker counts.
-echo "== serving soak smoke (-jobs 1 vs -jobs 4)"
-go run ./cmd/lmi-serve -soak -seed 2 -requests 200 -jobs 1 -v > "$tmpdir/soak-j1.txt"
-go run ./cmd/lmi-serve -soak -seed 2 -requests 200 -jobs 4 -v > "$tmpdir/soak-j4.txt"
+# one-shard fleet — the same serving state machines lmi-serve hosts
+# live (admission queue and fleet budget, classified retries, circuit
+# breaker, signed-bundle reloads) — on the virtual timeline. The soak
+# itself exits nonzero on any robustness violation (untyped
+# per-request error, missing result, escaped panic, shed without a
+# typed overload error, missing or dropped decision record,
+# inconsistent breaker log, tampered reload not rejected), and both
+# the verbose report — every count, timestamp, and per-request line —
+# and the decision log must be byte-identical across worker counts.
+# (The seed's non-vacuity — every serving path fires — is asserted in
+# internal/fleet TestFleetSoakSingleShardContract.)
+echo "== serving soak smoke (1 shard, -jobs 1 vs -jobs 4)"
+go run ./cmd/lmi-serve -soak -shards 1 -seed 2 -requests 200 -jobs 1 -v \
+    -decision-log "$tmpdir/soak-j1.jsonl" > "$tmpdir/soak-j1.txt"
+go run ./cmd/lmi-serve -soak -shards 1 -seed 2 -requests 200 -jobs 4 -v \
+    -decision-log "$tmpdir/soak-j4.jsonl" > "$tmpdir/soak-j4.txt"
 cmp "$tmpdir/soak-j1.txt" "$tmpdir/soak-j4.txt"
+cmp "$tmpdir/soak-j1.jsonl" "$tmpdir/soak-j4.jsonl"
 
 # Fleet soak gate: 100000 seeded requests sharded across 4 simulated
 # device workers under scripted shard kills, rejoins, and burst
